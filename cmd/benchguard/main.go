@@ -9,12 +9,15 @@
 //     steady-state allocation rate reaches max-allocs-per-event (default
 //     0.5 — the point where a `go test -benchmem` report would round to
 //     ≥1 alloc per event).
-//   - Advisory (exit 0 with a warning): the fresh quick run's engine
-//     throughput falls below a generous floor relative to the committed
-//     numbers. Timing on shared CI machines is noisy, so only an order-of-
-//     magnitude collapse is treated as a real regression. (The allocation
-//     gate has no such latitude: allocation counts are deterministic, so
-//     it is a hard gate even on noisy hardware.)
+//   - Timing (exit 1 below -floor, a warning below half): completed jobs
+//     per wall-second of a fresh one-replica probe against the committed
+//     largest cell's first engine. Jobs per second, not events per
+//     second: a change that removes events speeds the simulator up while
+//     lowering its event rate. Timing on shared CI machines is noisy, so
+//     only an order-of-magnitude collapse is fatal. Events per job is
+//     printed beside it as a deterministic count. (The allocation gate has
+//     no such latitude: allocation counts are deterministic, so it is a
+//     hard gate even on noisy hardware.)
 //
 // Usage:
 //
@@ -33,7 +36,7 @@ import (
 func main() {
 	ref := flag.String("ref", "BENCH_scale.json", "committed scale benchmark document")
 	minSpeedup := flag.Float64("min-speedup", 2.0, "required speedup over the seed baseline in the committed document")
-	floor := flag.Float64("floor", 0.1, "fresh events/s may not fall below this fraction of the committed rate (hard gate)")
+	floor := flag.Float64("floor", 0.1, "fresh completed jobs per wall-second may not fall below this fraction of the committed rate (hard gate)")
 	maxAllocs := flag.Float64("max-allocs-per-event", 0.5, "steady-state heap allocations per engine event must stay below this (hard gate)")
 	flag.Parse()
 
@@ -81,23 +84,28 @@ func main() {
 		fatal("quick scale run failed: %v", err)
 	}
 
-	// Timing gate: compare the committed legacy-engine event rate to a
+	// Timing gate: compare the committed legacy-engine job rate to a
 	// second, tiny in-process measurement. CI boxes differ wildly from the
 	// machine that generated the committed file, so only a collapse below
 	// floor × committed is fatal; anything else is advisory.
-	refRate := last.Engines[0].EventsPS
+	base := last.Engines[0]
+	refRate := float64(base.Completed) / base.WallSec
 	fresh, err := experiments.MeasureScaleCell(1, 400)
 	if err != nil {
 		fatal("measuring fresh cell: %v", err)
 	}
-	ratio := fresh.EventsPS / refRate
-	fmt.Printf("engine rate: fresh %.0f ev/s vs committed %.0f ev/s (%.2fx)\n",
-		fresh.EventsPS, refRate, ratio)
+	if fresh.Completed == 0 {
+		fatal("fresh cell completed no jobs")
+	}
+	freshRate := float64(fresh.Completed) / fresh.WallSec
+	ratio := freshRate / refRate
+	fmt.Printf("throughput: fresh %.0f jobs/s vs committed %.0f jobs/s (%.2fx); fresh %.0f events/job\n",
+		freshRate, refRate, ratio, float64(fresh.Steps)/float64(fresh.Completed))
 	switch {
 	case ratio < *floor:
-		fatal("engine event rate collapsed below %.0f%% of the committed rate", *floor*100)
+		fatal("completed jobs per wall-second collapsed below %.0f%% of the committed rate", *floor*100)
 	case ratio < 0.5:
-		fmt.Println("warning: engine event rate below half the committed rate (advisory; CI hardware varies)")
+		fmt.Println("warning: completed jobs per wall-second below half the committed rate (advisory; CI hardware varies)")
 	}
 
 	// Allocation gate: the hot loop must stay allocation-free per event in

@@ -107,10 +107,10 @@ type Device struct {
 	notifQ *channel.NotifQueue
 	trace  *Trace
 
-	scheduled    bool // a scheduling pass is pending
-	rrCursor     int  // round-robin start queue for fairness
-	smCursor     int  // round-robin start SM for placement spreading
-	queued       int  // launches resident across all hardware queues
+	scheduled    bool   // a scheduling pass is pending
+	rrCursor     int    // round-robin start queue for fairness
+	smCursor     int    // round-robin start SM for placement spreading
+	queued       int    // launches resident across all hardware queues
 	occ          uint64 // bitmask of non-empty queues (used when nq ≤ 64)
 	stats        Stats
 	lastUtilAt   sim.Time
@@ -154,45 +154,66 @@ type Device struct {
 	onTopology func(online int)
 	offlineSMs int
 
-	// kickFn is the device's single scheduling-pass closure, preallocated so
-	// every kick schedules without allocating.
-	kickFn func()
-	// perSM is placeBlocks' per-wave scratch, reused across calls;
-	// capScratch holds the eligible-SM capacity snapshot for the wave.
-	perSM      []smPlacement
+	// capScratch is placeBlocks' per-wave snapshot of eligible-SM
+	// capacity, reused across calls.
 	capScratch []smCap
-	// doneFree and postFree recycle the block-completion and
-	// notification-delivery event objects. Each carries a closure
-	// preallocated at construction, so the per-block hot path — the bulk of
-	// all simulation events — schedules with zero allocations in steady
-	// state (see the alloc-free tests in device_test.go).
-	doneFree []*blockDone
+	// waveFree and postFree recycle the placement-wave and
+	// notification-delivery records. Both fire as typed sim.EventFn
+	// events, so the block hot path — the bulk of all simulation events —
+	// schedules with zero allocations in steady state (see
+	// TestWavePathAllocFree).
+	waveFree []*wave
 	postFree []*notifPost
+	// freeEpoch advances whenever SM capacity returns (a block completion
+	// or RestoreSM). Between advances capacity only shrinks, so a launch
+	// whose last wave left blocks unplaced in the current epoch
+	// (Launch.fullEpoch) cannot place any now; placeBlocks skips its scan.
+	freeEpoch uint64
 }
 
-// blockDone is a pooled block-completion event: one per (SM, wave).
-type blockDone struct {
-	d      *Device
-	l      *Launch
-	smi, n int
-	fire   func()
+// wave is a pooled placement-wave event: the blocks of one launch placed
+// by one placeBlocks call, per SM in first-placement order. They all
+// finish BlockDuration later, so the wave completes as one event rather
+// than one per SM. That is exact: per-SM completion events would carry
+// consecutive sequence numbers and one due time, so nothing could run
+// between them, and completing the SMs in list order is their order.
+type wave struct {
+	d   *Device
+	l   *Launch
+	sms []smPlacement
+	// recs holds the wave's placement notifications when they fall due at
+	// the same instant as its completions (NotifDelay == BlockDuration).
+	// Each SM's share, delimited by smPlacement.recEnd, is delivered just
+	// before that SM's completion — where a per-SM post event, scheduled
+	// ahead of that SM's completion, would fire.
+	recs []channel.Notification
 }
 
-func (d *Device) newBlockDone() *blockDone {
-	if n := len(d.doneFree); n > 0 {
-		bd := d.doneFree[n-1]
-		d.doneFree[n-1] = nil
-		d.doneFree = d.doneFree[:n-1]
-		return bd
+func (d *Device) newWave(l *Launch) *wave {
+	if n := len(d.waveFree); n > 0 {
+		w := d.waveFree[n-1]
+		d.waveFree[n-1] = nil
+		d.waveFree = d.waveFree[:n-1]
+		w.l = l
+		return w
 	}
-	bd := &blockDone{d: d}
-	bd.fire = func() {
-		l, smi, n := bd.l, bd.smi, bd.n
-		bd.l = nil
-		bd.d.doneFree = append(bd.d.doneFree, bd)
-		bd.d.completeBlocks(l, smi, n)
+	return &wave{d: d, l: l}
+}
+
+// waveDone is the wave-completion sim.EventFn; ctx is the *wave.
+func waveDone(ctx any, _ uint64) {
+	w := ctx.(*wave)
+	d, l := w.d, w.l
+	start := 0
+	for _, pl := range w.sms {
+		if pl.recEnd > start {
+			d.deliver(w.recs[start:pl.recEnd])
+			start = pl.recEnd
+		}
+		d.completeBlocks(l, pl.sm, pl.n)
 	}
-	return bd
+	w.l, w.sms, w.recs = nil, w.sms[:0], w.recs[:0]
+	d.waveFree = append(d.waveFree, w)
 }
 
 // notifPost is a pooled notification-delivery event: one batch of notifQ
@@ -200,7 +221,6 @@ func (d *Device) newBlockDone() *blockDone {
 type notifPost struct {
 	d       *Device
 	records []channel.Notification
-	fire    func()
 }
 
 func (d *Device) newNotifPost() *notifPost {
@@ -210,18 +230,27 @@ func (d *Device) newNotifPost() *notifPost {
 		d.postFree = d.postFree[:n-1]
 		return p
 	}
-	p := &notifPost{d: d}
-	p.fire = func() {
-		for _, r := range p.records {
-			p.d.notifQ.Push(r)
-		}
-		p.records = p.records[:0]
-		p.d.postFree = append(p.d.postFree, p)
-		if p.d.onNotifPosted != nil {
-			p.d.onNotifPosted()
-		}
+	return &notifPost{d: d}
+}
+
+// notifFire is the notification-delivery sim.EventFn; ctx is the
+// *notifPost.
+func notifFire(ctx any, _ uint64) {
+	p := ctx.(*notifPost)
+	p.d.deliver(p.records)
+	p.records = p.records[:0]
+	p.d.postFree = append(p.d.postFree, p)
+}
+
+// deliver publishes one batch of records to the notifQ and runs the
+// posted hook (the dispatcher's wakeup).
+func (d *Device) deliver(recs []channel.Notification) {
+	for _, r := range recs {
+		d.notifQ.Push(r)
 	}
-	return p
+	if d.onNotifPosted != nil {
+		d.onNotifPosted()
+	}
 }
 
 // NewDevice builds a device on the given simulation environment. The
@@ -238,10 +267,7 @@ func NewDevice(env *sim.Env, cfg Config, notifQ *channel.NotifQueue) *Device {
 	}
 	d.freeBlocks = cfg.NumSMs * cfg.SM.MaxBlocks
 	d.freeThreads = cfg.NumSMs * cfg.SM.MaxThreads
-	d.kickFn = func() {
-		d.scheduled = false
-		d.schedulePass()
-	}
+	d.freeEpoch = 1 // a zero Launch.fullEpoch never matches
 	if rec := trace.FromEnv(env); rec != nil {
 		d.rec = rec
 		proc := rec.Process("GPU " + cfg.Name)
@@ -370,6 +396,7 @@ func (d *Device) RestoreSM(i int) bool {
 	d.offlineSMs--
 	d.freeBlocks += d.cfg.SM.MaxBlocks - d.sms[i].blocks
 	d.freeThreads += d.cfg.SM.MaxThreads - d.sms[i].threads
+	d.freeEpoch++
 	d.stats.SMsRestored++
 	if d.rec != nil {
 		d.rec.Instant(d.smTracks[i], "sm-restored", "fault", d.env.Now())
@@ -477,7 +504,14 @@ func (d *Device) kick() {
 		return
 	}
 	d.scheduled = true
-	d.env.DoAfter(0, d.kickFn)
+	d.env.DoCallAfter(0, kickPass, d, 0)
+}
+
+// kickPass is the scheduling-pass sim.EventFn; ctx is the *Device.
+func kickPass(ctx any, _ uint64) {
+	d := ctx.(*Device)
+	d.scheduled = false
+	d.schedulePass()
 }
 
 // schedulePass is the block scheduler: it repeatedly scans the hardware
@@ -574,17 +608,14 @@ func (d *Device) scanQueue(qi int) bool {
 	return progressed
 }
 
-// placeBlocks places as many blocks of l as currently fit, spreading them
-// across SMs round-robin. It returns the number placed and schedules their
-// completions and notifications.
 // smPlacement counts the blocks placed on one SM during a wave, in
 // first-placement order. A slice (not a map) so that the completion and
-// notification events below are scheduled in a deterministic order —
+// notification events below are emitted in a deterministic order —
 // map iteration would randomize same-instant event ordering run to run,
 // which both perturbs the simulation subtly and makes trace output
-// irreproducible.
+// irreproducible. recEnd ends this SM's share of wave.recs.
 type smPlacement struct {
-	sm, n int
+	sm, n, recEnd int
 }
 
 // smCap snapshots one eligible SM's remaining block capacity during a wave.
@@ -592,14 +623,22 @@ type smCap struct {
 	sm, cap, got int
 }
 
+// placeBlocks places as many blocks of l as currently fit, spreading them
+// across SMs round-robin. It returns the number placed and schedules their
+// completions (one wave event) and notifications.
 func (d *Device) placeBlocks(l *Launch) int {
 	_, th, rg, sh := l.Spec.BlockCost()
 	nsm := len(d.sms)
-	// Saturation fast path: per-SM free capacity never exceeds the
-	// device-wide aggregate, so an aggregate too small for one block
-	// proves the scan below would come up empty. The empty wave's one
-	// side effect — the placement cursor advancing a step — is kept.
-	if d.freeBlocks == 0 || (th > 0 && d.freeThreads < th) {
+	// Empty-wave fast paths, each a proof that the scan below would come
+	// up empty; the empty wave's one side effect — the placement cursor
+	// advancing a step — is kept.
+	//   - Known full: l's last wave left blocks unplaced, which it does
+	//     only once every eligible SM is at its cap for l's block shape,
+	//     and no capacity has returned since (same freeEpoch; placements
+	//     and RetireSM only shrink capacity).
+	//   - Saturation: per-SM free capacity never exceeds the device-wide
+	//     aggregate, so an aggregate too small for one block suffices.
+	if l.fullEpoch == d.freeEpoch || d.freeBlocks == 0 || (th > 0 && d.freeThreads < th) {
 		d.smCursor = (d.smCursor + 1) % nsm
 		return 0
 	}
@@ -703,38 +742,45 @@ func (d *Device) placeBlocks(l *Launch) int {
 	}
 
 	totalPlaced := l.toPlace - remaining
-	// perSM lists the wave's placements in first-placement (cursor) order —
-	// identical to the order the per-block loop discovered SMs — so the
-	// completion/notification emission below stays deterministic.
-	perSM := d.perSM[:0]
-	if totalPlaced > 0 {
-		d.accrueUtil()
-		for _, e := range caps {
-			if e.got == 0 {
-				continue
-			}
-			sm := &d.sms[e.sm]
-			sm.blocks += e.got
-			sm.threads += e.got * th
-			sm.regs += e.got * rg
-			sm.shmem += e.got * sh
-			d.threadsInUse += e.got * th
-			d.freeBlocks -= e.got
-			d.freeThreads -= e.got * th
-			perSM = append(perSM, smPlacement{sm: e.sm, n: e.got})
-		}
-		d.stats.BlocksPlaced += uint64(totalPlaced)
-		l.toPlace = remaining
-		l.state = LaunchPlacing
-	}
 	d.smCursor = (d.smCursor + 1) % nsm
-	d.perSM = perSM
+	if remaining > 0 {
+		// The fill stopped with k == 0: every eligible SM is at its cap.
+		l.fullEpoch = d.freeEpoch
+	}
 	if totalPlaced == 0 {
 		return 0
 	}
+	// w.sms lists the wave's placements in first-placement (cursor) order —
+	// identical to the order the per-block loop discovered SMs — so the
+	// completion/notification emission below stays deterministic.
+	w := d.newWave(l)
+	d.accrueUtil()
+	for _, e := range caps {
+		if e.got == 0 {
+			continue
+		}
+		sm := &d.sms[e.sm]
+		sm.blocks += e.got
+		sm.threads += e.got * th
+		sm.regs += e.got * rg
+		sm.shmem += e.got * sh
+		d.threadsInUse += e.got * th
+		d.freeBlocks -= e.got
+		d.freeThreads -= e.got * th
+		w.sms = append(w.sms, smPlacement{sm: e.sm, n: e.got})
+	}
+	d.stats.BlocksPlaced += uint64(totalPlaced)
+	l.toPlace = remaining
+	l.state = LaunchPlacing
+	// Placement records due with the completions ride in the wave (see
+	// wave.recs); otherwise each SM's batch is its own post event.
+	var fold *wave
+	if d.cfg.NotifDelay == l.Spec.BlockDuration {
+		fold = w
+	}
 	now := d.env.Now()
-	for _, pl := range perSM {
-		smi, n := pl.sm, pl.n
+	for i := range w.sms {
+		smi, n := w.sms[i].sm, w.sms[i].n
 		if d.trace != nil {
 			d.trace.add(segment{SM: smi, Kernel: l.Spec.Name, Job: l.JobTag, KernelID: l.KernelID, Blocks: n, Start: now, End: now + l.Spec.BlockDuration})
 		}
@@ -745,11 +791,10 @@ func (d *Device) placeBlocks(l *Launch) int {
 				trace.Int("blocks", int64(n)))
 		}
 		d.traceSM(smi)
-		d.emitNotifs(l, channel.Placement, uint8(smi), n)
-		bd := d.newBlockDone()
-		bd.l, bd.smi, bd.n = l, smi, n
-		d.env.DoAfter(l.Spec.BlockDuration, bd.fire)
+		d.emitNotifs(l, channel.Placement, uint8(smi), n, fold)
+		w.sms[i].recEnd = len(w.recs)
 	}
+	d.env.DoCallAfter(l.Spec.BlockDuration, waveDone, w, 0)
 	return totalPlaced
 }
 
@@ -764,6 +809,7 @@ func (d *Device) completeBlocks(l *Launch, smi, n int) {
 	sm.regs -= n * rg
 	sm.shmem -= n * sh
 	d.threadsInUse -= n * th
+	d.freeEpoch++
 	if !sm.offline {
 		// A retired SM's draining blocks free no usable capacity; its
 		// residual share was already deducted wholesale at retirement.
@@ -776,7 +822,7 @@ func (d *Device) completeBlocks(l *Launch, smi, n int) {
 	d.traceSM(smi)
 	l.toFinish -= n
 	d.stats.BlocksCompleted += uint64(n)
-	d.emitNotifs(l, channel.Completion, uint8(smi), n)
+	d.emitNotifs(l, channel.Completion, uint8(smi), n, nil)
 	if l.toFinish == 0 {
 		l.state = LaunchDone
 		l.completedAt = d.env.Now()
@@ -790,13 +836,14 @@ func (d *Device) completeBlocks(l *Launch, smi, n int) {
 }
 
 // emitNotifs advances the launch's kernel-wide notification counters by n
-// blocks on SM sm and posts aggregated notifQ records (§5.2, Figure 6):
+// blocks on SM sm and emits aggregated notifQ records (§5.2, Figure 6):
 // the instrumented kernel's designated threads maintain one atomic counter
 // per direction, and a record is written every AggGroup-th block plus once
 // at the final block. Between crossings, up to AggGroup−1 blocks are
 // placed/finished but not yet visible to the dispatcher — the accepted
-// cost of aggregation.
-func (d *Device) emitNotifs(l *Launch, t channel.NotifType, sm uint8, n int) {
+// cost of aggregation. The records are appended to fold's batch when fold
+// is non-nil, and otherwise posted as one event after NotifDelay.
+func (d *Device) emitNotifs(l *Launch, t channel.NotifType, sm uint8, n int, fold *wave) {
 	if !l.Instrumented || d.notifQ == nil {
 		return
 	}
@@ -819,10 +866,25 @@ func (d *Device) emitNotifs(l *Launch, t channel.NotifType, sm uint8, n int) {
 		return
 	}
 	*notified = newNotified
+	if fold != nil {
+		fold.recs = d.appendRecords(fold.recs, t, sm, delta, group, l.KernelID)
+		return
+	}
 	p := d.newNotifPost()
+	p.records = d.appendRecords(p.records, t, sm, delta, group, l.KernelID)
+	if len(p.records) == 0 {
+		d.postFree = append(d.postFree, p)
+		return
+	}
+	d.env.DoCallAfter(d.cfg.NotifDelay, notifFire, p, 0)
+}
+
+// appendRecords appends the records reporting delta blocks, AggGroup at a
+// time, to dst; an installed notification fault may drop or duplicate each.
+func (d *Device) appendRecords(dst []channel.Notification, t channel.NotifType, sm uint8, delta, group int, kernelID uint32) []channel.Notification {
 	for delta > 0 {
 		g := min(delta, group)
-		rec := channel.Pack(t, sm, uint16(g), l.KernelID)
+		rec := channel.Pack(t, sm, uint16(g), kernelID)
 		copies := channel.NotifKeep
 		if d.notifFault != nil {
 			copies = d.notifFault(rec)
@@ -832,17 +894,13 @@ func (d *Device) emitNotifs(l *Launch, t channel.NotifType, sm uint8, n int) {
 			d.stats.NotifsDropped++
 		case copies >= channel.NotifDup:
 			d.stats.NotifsDuplicated++
-			p.records = append(p.records, rec, rec)
+			dst = append(dst, rec, rec)
 		default:
-			p.records = append(p.records, rec)
+			dst = append(dst, rec)
 		}
 		delta -= g
 	}
-	if len(p.records) == 0 {
-		p.d.postFree = append(p.d.postFree, p)
-		return
-	}
-	d.env.DoAfter(d.cfg.NotifDelay, p.fire)
+	return dst
 }
 
 // accrueUtil integrates thread occupancy up to now.

@@ -158,6 +158,9 @@ type Launch struct {
 	// launch-overhead expiry run as a typed event instead of a per-launch
 	// closure.
 	dev *Device
+	// fullEpoch is the device's freeEpoch when a placement wave last left
+	// this launch with blocks unplaced (0: never); see Device.freeEpoch.
+	fullEpoch uint64
 	// Kernel-wide notification counters (Figure 6's startCount/endCount)
 	// and how many blocks have been reported to the notifQ so far.
 	placedCount       int

@@ -1,11 +1,12 @@
 package sim
 
-// The event queue is a two-level structure exploiting the dominant
-// scheduling pattern of this simulator: events are pushed in *runs* that
-// share a due time (a GPU wave schedules one completion per SM, all at
-// now+BlockDuration; a notification batch lands at now+NotifDelay). In the
-// cluster benchmark ~70% of heap pushes carry the same timestamp as the
-// push immediately before them.
+// The event queue is a two-level structure exploiting a common scheduling
+// pattern of this simulator: events are pushed in *runs* that share a due
+// time (a GPU placement wave posts one notification batch per SM, all at
+// now+NotifDelay). On the 2-replica × 4000-job scale cell 18% of heap
+// pushes carry the same timestamp as the push immediately before them;
+// the share was 66% while the GPU still pushed one block completion per
+// SM per wave, before waves completed as a single event.
 //
 // Instead of one heap node per timer, same-timestamp runs are stored as
 // FIFO *buckets* and the 4-ary min-heap orders buckets by the key
