@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -42,8 +41,8 @@ func trafficSpecFromFlag(arg string, mix workload.Mix, sigma, rate float64,
 		if err != nil {
 			return workload.TrafficSpec{}, err
 		}
-		var spec workload.TrafficSpec
-		if err := json.Unmarshal(data, &spec); err != nil {
+		spec, err := workload.ParseTrafficSpec(data)
+		if err != nil {
 			return workload.TrafficSpec{}, fmt.Errorf("%s: %w", arg, err)
 		}
 		return spec, nil

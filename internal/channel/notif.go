@@ -10,14 +10,12 @@
 //     recycles entries by storing Invalid after reading.
 //   - SPSC: the client→dispatcher request ring and the dispatcher→client
 //     completion ring (single producer, single consumer, zero-copy slots).
-//   - Doorbell/HybridWaiter: the hybrid interrupt-then-poll wakeup the
-//     client library uses for blocking reads (§5.3) — block on a channel
-//     (the "Unix socket" interrupt) until the dispatcher's almost-finished
-//     signal, then spin on the completion ring.
 //
 // Unlike the rest of the reproduction, which runs on virtual time, this
 // package is real concurrent code exercised by real goroutines; its
-// benchmarks back the measured overheads reported for Figures 4, 14 and 15.
+// benchmarks back the measured overheads reported for Figures 4 and 15.
+// The hybrid interrupt-then-poll client wakeup (§5.3, Figure 14) is
+// modeled in virtual time by internal/client.
 package channel
 
 import (
@@ -118,9 +116,6 @@ func NewNotifQueue(capacity int) *NotifQueue {
 	}
 }
 
-// Cap returns the queue capacity.
-func (q *NotifQueue) Cap() int { return len(q.slots) }
-
 // Push publishes a notification. It never blocks and never fails; writing
 // more than Cap records beyond the consumer's cursor silently overwrites
 // (by design, matching the paper's unchecked device-side writer).
@@ -150,9 +145,6 @@ func (q *NotifQueue) Poll(buf []Notification) int {
 	}
 	return n
 }
-
-// Consumed returns the total number of records the consumer has read.
-func (q *NotifQueue) Consumed() uint64 { return q.head }
 
 // NotifVerdict is a fault-injection decision about one notification record
 // about to be published to the notifQ. The channel itself is lossless in

@@ -8,6 +8,16 @@ import (
 	"paella/internal/sim"
 )
 
+// instrument is Instrument that fails the test on error.
+func instrument(t *testing.T, m *model.Model, cfg Config) *Instrumented {
+	t.Helper()
+	ins, err := Instrument(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ins
+}
+
 func TestKernelOverheadMatchesFig15(t *testing.T) {
 	agg := DefaultConfig()
 	noagg := NoAggConfig()
@@ -72,25 +82,8 @@ func TestInstrumentRejectsInvalid(t *testing.T) {
 	}
 }
 
-func TestExtractMetadata(t *testing.T) {
-	m := model.TinyNet()
-	md := ExtractMetadata(m)
-	if len(md) != m.NumUnique() {
-		t.Fatalf("metadata rows = %d, want %d", len(md), m.NumUnique())
-	}
-	for i, row := range md {
-		k := m.Kernels[i]
-		if row.Registers != k.ThreadsPerBlock*k.RegsPerThread {
-			t.Errorf("row %d: registers = %d", i, row.Registers)
-		}
-		if row.Executions != 1 {
-			t.Errorf("row %d: executions = %d", i, row.Executions)
-		}
-	}
-}
-
 func TestProfileModel(t *testing.T) {
-	ins := MustInstrument(model.TinyNet(), DefaultConfig())
+	ins := instrument(t, model.TinyNet(), DefaultConfig())
 	cfg := gpu.TeslaT4()
 	cfg.LaunchOverhead = 0 // exact timing for assertions
 	p, err := ProfileModel(ins, cfg, 3)
@@ -100,7 +93,7 @@ func TestProfileModel(t *testing.T) {
 	// Every kernel observed; means equal the instrumented block durations
 	// (each kernel fits in one wave on a T4).
 	for _, k := range ins.Model.Kernels {
-		st := p.Stat(k.Name)
+		st := p.stats[k.Name]
 		if st == nil {
 			t.Fatalf("kernel %s not profiled", k.Name)
 		}
@@ -149,7 +142,7 @@ func TestSuffixMatchesFormula(t *testing.T) {
 	executed := map[string]int{}
 	for j := 0; j <= m.NumExecutions(); j++ {
 		bySuffix := p.RemainingAfter(j)
-		byFormula := p.RemainingByFormula(executed)
+		byFormula := remainingByFormula(p, executed)
 		diff := bySuffix - byFormula
 		if diff < 0 {
 			diff = -diff
@@ -165,20 +158,34 @@ func TestSuffixMatchesFormula(t *testing.T) {
 	}
 }
 
+// remainingByFormula evaluates the paper's §6 estimate directly:
+// Σᵢ max(0, C̄ᵢ − cᵢ)·T̄ᵢ given per-kernel executed counts — the reference
+// the suffix table is checked against.
+func remainingByFormula(p *Profile, executedCounts map[string]int) sim.Time {
+	var total sim.Time
+	for name, st := range p.stats {
+		rem := st.Count - float64(executedCounts[name])
+		if rem > 0 {
+			total += sim.Time(rem * float64(st.MeanTime))
+		}
+	}
+	return total
+}
+
 func TestObserveRefinesMean(t *testing.T) {
 	p := &Profile{ModelName: "x", stats: map[string]*KernelStat{}}
 	p.Observe("k", 100)
 	p.Observe("k", 200)
-	if st := p.Stat("k"); st.MeanTime != 150 {
+	if st := p.stats["k"]; st.MeanTime != 150 {
 		t.Fatalf("mean = %v, want 150", st.MeanTime)
 	}
-	if p.Stat("missing") != nil {
+	if p.MeanTime("missing") != 0 {
 		t.Fatal("missing kernel returned a stat")
 	}
 }
 
 func TestProfileRunsValidation(t *testing.T) {
-	ins := MustInstrument(model.TinyNet(), DefaultConfig())
+	ins := instrument(t, model.TinyNet(), DefaultConfig())
 	if _, err := ProfileModel(ins, gpu.TeslaT4(), 0); err == nil {
 		t.Fatal("zero profiling runs accepted")
 	}

@@ -12,6 +12,16 @@ import (
 
 // testSetup builds a dispatcher on a T4-like device with zero launch
 // overhead for crisp assertions.
+// instrument is compiler.Instrument that fails the test on error.
+func instrument(t *testing.T, m *model.Model, cfg compiler.Config) *compiler.Instrumented {
+	t.Helper()
+	ins, err := compiler.Instrument(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ins
+}
+
 func testSetup(t *testing.T, cfg Config, models ...*model.Model) (*sim.Env, *Dispatcher) {
 	t.Helper()
 	env := sim.NewEnv()
@@ -115,7 +125,7 @@ func TestGatedManyJobsAllComplete(t *testing.T) {
 	if done != 50 {
 		t.Fatalf("completed %d of 50", done)
 	}
-	if !d.mirror.Idle() {
+	if !d.mirror.idle() {
 		t.Fatal("mirror not idle after drain")
 	}
 	if len(d.inflight) != 0 {
@@ -259,7 +269,7 @@ func TestGatedKeepsQueuesShallow(t *testing.T) {
 func TestRegisterModelValidation(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewWithDevice(env, gpu.TeslaT4(), gatedCfg())
-	ins := compiler.MustInstrument(model.TinyNet(), compiler.DefaultConfig())
+	ins := instrument(t, model.TinyNet(), compiler.DefaultConfig())
 	if err := d.RegisterModel(ins); err == nil {
 		t.Fatal("unprofiled model registered")
 	}
@@ -309,7 +319,7 @@ func TestMirrorAccounting(t *testing.T) {
 	m.Complete(k, 4)
 	m.Complete(k, 4)
 	m.Complete(k, 4)
-	if !m.Idle() {
+	if !m.idle() {
 		t.Fatal("mirror not idle after full cycle")
 	}
 }
@@ -396,7 +406,7 @@ func TestRegisterModelRejectsOversizeKernels(t *testing.T) {
 		Seq:          []int{0},
 		PinnedOutput: true,
 	}
-	ins := compiler.MustInstrument(huge, compiler.Config{})
+	ins := instrument(t, huge, compiler.Config{})
 	ins.Profile = &compiler.Profile{}
 	// Attach a minimal profile via the public pipeline on a big device.
 	big := cfg

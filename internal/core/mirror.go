@@ -106,7 +106,7 @@ func (m *mirror) headroomBlocks() int {
 	return m.capBlocks - m.resBlocks - m.rsvBlocks
 }
 
-// Idle reports whether the mirror believes the device is empty.
-func (m *mirror) Idle() bool {
+// idle reports whether the mirror believes the device is empty.
+func (m *mirror) idle() bool {
 	return m.resBlocks == 0 && m.rsvBlocks == 0
 }

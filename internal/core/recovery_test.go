@@ -86,7 +86,7 @@ func TestKernelTimeoutRetriesExhaust(t *testing.T) {
 		t.Fatalf("no watchdog activity recorded: %+v", st)
 	}
 	// Mirror reconciliation must leave the device logically empty.
-	if !d.mirror.Idle() {
+	if !d.mirror.idle() {
 		t.Fatal("occupancy mirror not idle after reconciliation")
 	}
 }
@@ -135,7 +135,7 @@ func TestDuplicatedNotifsClamp(t *testing.T) {
 	if st := d.Stats(); st.StaleNotifs == 0 {
 		t.Fatalf("no duplicates counted: %+v", st)
 	}
-	if !d.mirror.Idle() {
+	if !d.mirror.idle() {
 		t.Fatal("mirror not idle after duplicated notifications")
 	}
 }

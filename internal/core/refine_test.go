@@ -52,13 +52,13 @@ func TestOnlineRefinementConverges(t *testing.T) {
 	// After 100 jobs × 3 kernels of true observations, the corrupted 10×
 	// means must have been pulled back toward reality.
 	for _, k := range ins.Model.Kernels {
-		st := ins.Profile.Stat(k.Name)
-		if st == nil {
+		mean := ins.Profile.MeanTime(k.Name)
+		if mean == 0 {
 			t.Fatalf("kernel %s lost its stats", k.Name)
 		}
-		if st.MeanTime > 4*k.BlockDuration {
+		if mean > 4*k.BlockDuration {
 			t.Errorf("kernel %s mean %v not converging toward %v",
-				k.Name, st.MeanTime, k.BlockDuration)
+				k.Name, mean, k.BlockDuration)
 		}
 	}
 	// The suffix table must have been rebuilt from the refined means: the

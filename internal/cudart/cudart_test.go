@@ -324,8 +324,10 @@ func TestEventOnEmptyStreamFiresImmediately(t *testing.T) {
 	ctx, _ := newCtx(env, 2, 2, zeroCost())
 	s := ctx.StreamCreate()
 	ev := s.EventRecord()
+	fired := false
+	ev.OnFire(func() { fired = true })
 	env.Run()
-	if !ev.Done() {
+	if !fired {
 		t.Fatal("event on empty stream never fired")
 	}
 	if env.Now() != 0 {
@@ -395,13 +397,13 @@ func TestPendingCounts(t *testing.T) {
 	env.Spawn("issuer", func(p *sim.Proc) {
 		s.LaunchKernel(p, kern("a", 1, 10*sim.Microsecond), LaunchOpts{})
 		s.LaunchKernel(p, kern("b", 1, 10*sim.Microsecond), LaunchOpts{})
-		if s.Pending() != 2 {
-			t.Errorf("Pending = %d, want 2", s.Pending())
+		if len(s.pending) != 2 {
+			t.Errorf("pending = %d, want 2", len(s.pending))
 		}
 	})
 	env.Run()
-	if s.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", s.Pending())
+	if len(s.pending) != 0 {
+		t.Fatalf("pending = %d after drain", len(s.pending))
 	}
 	st := ctx.Stats()
 	if st.KernelLaunches != 2 {

@@ -113,9 +113,6 @@ func (l *PCIeLink) SetBandwidthFactor(f float64) {
 	}
 }
 
-// BandwidthFactor returns the current effective-bandwidth scale.
-func (l *PCIeLink) BandwidthFactor() float64 { return l.factor }
-
 // Transfer enqueues a DMA of the given size and direction; done fires when
 // it completes. Transfers of one direction serialize FIFO behind each
 // other (a weight prefetch and an input-tensor copy share the H2D engine);
@@ -154,10 +151,6 @@ func (l *PCIeLink) Transfer(kind MemcpyKind, bytes int, done func()) {
 	}
 	l.env.At(start+dur, done)
 }
-
-// BusyUntil returns when the given direction's engine frees up (≤ now when
-// idle) — scheduling heuristics may use it to predict load completion.
-func (l *PCIeLink) BusyUntil(kind MemcpyKind) sim.Time { return l.busyUntil[int(kind)] }
 
 // Stats returns a snapshot of link counters.
 func (l *PCIeLink) Stats() LinkStats { return l.stats }

@@ -125,14 +125,9 @@ func runScaleEngine(engine string, replicas, jobs int) (ScaleEngineResult, error
 	case "legacy":
 		env = sim.NewEnv()
 		c, err = cluster.New(env, devs, mkPolicy, cluster.NewLeastLoaded())
-	case "world-serial", "world-parallel", "world-spec":
+	case "world-serial", "world-parallel":
 		w = sim.NewWorld()
 		w.SetParallel(engine == "world-parallel")
-		// The speculative engine runs shards past the conservative horizon
-		// under the adaptive window; cross-timeline traffic defers to the
-		// barrier, so it is a different (equally valid) simulation than the
-		// conservative pair and is excluded from their identity check.
-		w.SetSpeculative(engine == "world-spec")
 		defer w.Close()
 		env = w.Ctrl()
 		c, err = cluster.NewWorld(w, devs, mkPolicy, cluster.NewLeastLoaded())
@@ -246,8 +241,8 @@ func runScale(out io.Writer, d Detail) error {
 		detail = "quick"
 	}
 	fmt.Fprintln(out, "Extension — engine scaling, zipf(1.1) synthetic zoo, least-loaded balancer:")
-	fmt.Fprintf(out, "  %-8s %-8s %-15s %10s %12s %8s %10s\n",
-		"replicas", "jobs", "engine", "wall", "events/s", "n", "p99")
+	fmt.Fprintf(out, "  %-8s %-8s %-15s %10s %10s %10s %8s %10s\n",
+		"replicas", "jobs", "engine", "wall", "jobs/s", "events/job", "n", "p99")
 
 	report := ScaleReport{
 		Schema: "paella-scale-bench/v1", Detail: detail,
@@ -258,14 +253,15 @@ func runScale(out io.Writer, d Detail) error {
 	for _, replicas := range replicaSweep {
 		jobs := jobsPer * replicas
 		cell := ScaleCell{Replicas: replicas, Jobs: jobs}
-		for _, engine := range []string{"legacy", "world-serial", "world-parallel", "world-spec"} {
+		for _, engine := range []string{"legacy", "world-serial", "world-parallel"} {
 			res, err := runScaleEngine(engine, replicas, jobs)
 			if err != nil {
 				return err
 			}
 			cell.Engines = append(cell.Engines, res)
-			fmt.Fprintf(out, "  %-8d %-8d %-15s %10.3fs %12.0f %8d %9.2fms\n",
-				replicas, jobs, engine, res.WallSec, res.EventsPS, res.Completed, res.P99Ms)
+			fmt.Fprintf(out, "  %-8d %-8d %-15s %10.3fs %10.0f %10.0f %8d %9.2fms\n",
+				replicas, jobs, engine, res.WallSec, float64(res.Completed)/res.WallSec,
+				float64(res.Steps)/float64(res.Completed), res.Completed, res.P99Ms)
 		}
 		ser, par := cell.Engines[1], cell.Engines[2]
 		cell.Identical = ser.Completed == par.Completed && ser.P50Ms == par.P50Ms &&
@@ -277,9 +273,10 @@ func runScale(out io.Writer, d Detail) error {
 		report.Cells = append(report.Cells, cell)
 	}
 	fmt.Fprintln(out, "\nWorld serial and parallel runs are metric-identical at every point")
-	fmt.Fprintln(out, "(the conservative-window determinism contract). Events/s measures the")
-	fmt.Fprintln(out, "engine, not the modeled GPUs: virtual throughput is identical across")
-	fmt.Fprintln(out, "engines by construction.")
+	fmt.Fprintln(out, "(the conservative-window determinism contract). Jobs/s is completed jobs")
+	fmt.Fprintln(out, "per wall-second, the simulator's own throughput; virtual throughput is")
+	fmt.Fprintln(out, "identical across engines by construction. Events/job counts engine work")
+	fmt.Fprintln(out, "per job, so fewer events is a speedup even though it lowers events/s.")
 
 	if commit := os.Getenv(ScaleSeedCommitEnv); commit != "" {
 		var wall float64

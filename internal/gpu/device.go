@@ -426,10 +426,6 @@ func (d *Device) Utilization() float64 {
 	return d.stats.ThreadBusyNs / (elapsed * float64(d.cfg.SM.MaxThreads*d.cfg.NumSMs))
 }
 
-// QueueDepth returns the number of launches waiting in (or placing from)
-// hardware queue q.
-func (d *Device) QueueDepth(q int) int { return d.queues[q].depth() }
-
 // TotalQueued returns the number of launches across all hardware queues.
 func (d *Device) TotalQueued() int { return d.queued }
 
@@ -586,7 +582,6 @@ func (d *Device) scanQueue(qi int) bool {
 		// Fully placed: the launch leaves the queue, exposing the
 		// next kernel (if any) to the scheduler.
 		head.state = LaunchRunning
-		head.placedAt = d.env.Now()
 		q.popHead()
 		d.queued--
 		if q.count == 0 {
@@ -825,7 +820,6 @@ func (d *Device) completeBlocks(l *Launch, smi, n int) {
 	d.emitNotifs(l, channel.Completion, uint8(smi), n, nil)
 	if l.toFinish == 0 {
 		l.state = LaunchDone
-		l.completedAt = d.env.Now()
 		d.stats.KernelsCompleted++
 		if l.OnComplete != nil {
 			d.env.DoAfter(0, l.OnComplete)

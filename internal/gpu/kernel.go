@@ -168,31 +168,10 @@ type Launch struct {
 	completedCount    int
 	completedNotified int
 	queuedAt          sim.Time
-	placedAt          sim.Time // time the final block was placed
-	completedAt       sim.Time
 }
 
 // State returns the launch's current lifecycle state.
 func (l *Launch) State() LaunchState { return l.state }
-
-// BlocksUnplaced returns the number of blocks not yet placed on an SM.
-func (l *Launch) BlocksUnplaced() int { return l.toPlace }
-
-// BlocksOutstanding returns the number of blocks placed but not finished.
-// toPlace counts down as blocks are placed and toFinish counts down as they
-// finish, so the resident population is their difference.
-func (l *Launch) BlocksOutstanding() int { return l.toFinish - l.toPlace }
-
-// QueuedAt returns when the launch entered its hardware queue.
-func (l *Launch) QueuedAt() sim.Time { return l.queuedAt }
-
-// PlacedAt returns when the launch's last block was placed (valid once the
-// state is LaunchRunning or later).
-func (l *Launch) PlacedAt() sim.Time { return l.placedAt }
-
-// CompletedAt returns when the launch's last block completed (valid once
-// the state is LaunchDone).
-func (l *Launch) CompletedAt() sim.Time { return l.completedAt }
 
 // Recycle prepares a finished launch for reuse, clearing identity,
 // callback, and progress state. It reports false — leaving the launch

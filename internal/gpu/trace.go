@@ -73,27 +73,6 @@ func (t *Trace) Makespan() sim.Time {
 	return end
 }
 
-// JobSpans returns, per job tag, the [first placement, last completion]
-// interval observed on the device.
-func (t *Trace) JobSpans() map[string][2]sim.Time {
-	spans := make(map[string][2]sim.Time)
-	for _, s := range t.segs {
-		sp, ok := spans[s.Job]
-		if !ok {
-			spans[s.Job] = [2]sim.Time{s.Start, s.End}
-			continue
-		}
-		if s.Start < sp[0] {
-			sp[0] = s.Start
-		}
-		if s.End > sp[1] {
-			sp[1] = s.End
-		}
-		spans[s.Job] = sp
-	}
-	return spans
-}
-
 // WriteJSON emits the trace as a JSON array of segments (ns timestamps),
 // for external tooling.
 func (t *Trace) WriteJSON(w io.Writer) error {

@@ -212,18 +212,6 @@ func CompileSpec(cfg Config) (*Compiled, error) {
 	}, nil
 }
 
-// MustCompileSpec is CompileSpec for known-good configurations.
-func MustCompileSpec(cfg Config) *Compiled {
-	c, err := CompileSpec(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// TokensPerPage returns how many tokens' KV state one page holds.
-func (c *Compiled) TokensPerPage() int { return c.tokensPerPage }
-
 // PagesFor returns the KV pages needed to hold the given token count.
 func (c *Compiled) PagesFor(tokens int) int {
 	return pagesCeil(tokens, c.tokensPerPage)

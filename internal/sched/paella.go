@@ -71,9 +71,6 @@ func NewPaella(threshold float64) *PaellaPolicy {
 // Name implements Policy.
 func (p *PaellaPolicy) Name() string { return "Paella" }
 
-// Threshold returns the configured fairness threshold.
-func (p *PaellaPolicy) Threshold() float64 { return p.threshold }
-
 // Len implements Policy.
 func (p *PaellaPolicy) Len() int { return p.srpt.Len() }
 
@@ -237,6 +234,3 @@ func (p *PaellaPolicy) EffectiveDeficit(client int) float64 {
 	}
 	return c.stored + p.boost
 }
-
-// ActiveClients returns the number of clients with unfinished jobs.
-func (p *PaellaPolicy) ActiveClients() int { return len(p.clients) }

@@ -30,7 +30,7 @@ func TestMutexSerializesFIFO(t *testing.T) {
 			t.Fatalf("order = %v, want %v (FIFO violated)", order, want)
 		}
 	}
-	if m.Held() {
+	if m.held {
 		t.Fatal("mutex still held after all workers")
 	}
 }
@@ -56,8 +56,8 @@ func TestMutexWaiters(t *testing.T) {
 	env.Spawn("holder", func(p *Proc) {
 		m.Lock(p)
 		p.Sleep(100)
-		if m.Waiters() != 2 {
-			t.Errorf("Waiters = %d, want 2", m.Waiters())
+		if n := len(m.waiters) - m.first; n != 2 {
+			t.Errorf("waiters = %d, want 2", n)
 		}
 		m.Unlock()
 	})
@@ -87,7 +87,7 @@ func TestYield(t *testing.T) {
 	var order []int
 	env.Spawn("a", func(p *Proc) {
 		order = append(order, 1)
-		p.Yield()
+		p.Sleep(0) // yield: events due now run first
 		order = append(order, 3)
 	})
 	env.Spawn("b", func(p *Proc) {

@@ -51,9 +51,6 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Done reports whether the process function has returned.
-func (p *Proc) Done() bool { return p.done }
-
 // Name returns the process's diagnostic name.
 func (p *Proc) Name() string { return p.name }
 
@@ -88,10 +85,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Yield suspends the process and reschedules it at the current virtual time,
-// letting other events due now run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Completion is a one-shot event that processes and callbacks can wait on.
 // It is the simulation analogue of a job-completion flag: Fire is idempotent
 // and waiters registered after firing are released immediately.
@@ -105,9 +98,6 @@ type Completion struct {
 func NewCompletion(e *Env) *Completion {
 	return &Completion{env: e}
 }
-
-// Fired reports whether Fire has been called.
-func (c *Completion) Fired() bool { return c.fired }
 
 // Fire releases all current and future waiters. Subsequent calls are no-ops.
 func (c *Completion) Fire() {
@@ -159,9 +149,6 @@ type Cond struct {
 // NewCond returns a condition bound to e.
 func NewCond(e *Env) *Cond { return &Cond{env: e} }
 
-// Waiters returns the number of registered waiters.
-func (c *Cond) Waiters() int { return len(c.fns) }
-
 // Broadcast wakes all current waiters (as fresh events at the current time).
 func (c *Cond) Broadcast() {
 	fns := c.fns
@@ -172,9 +159,6 @@ func (c *Cond) Broadcast() {
 	}
 	c.spare = fns[:0]
 }
-
-// OnNext registers fn to run on the next Broadcast.
-func (c *Cond) OnNext(fn func()) { c.fns = append(c.fns, fn) }
 
 // WaitCond blocks the process until the next Broadcast on c.
 func (p *Proc) WaitCond(c *Cond) {

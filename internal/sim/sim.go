@@ -170,9 +170,6 @@ func (e *Env) Now() Time { return e.now }
 // runaway simulations in tests).
 func (e *Env) Steps() uint64 { return e.steps }
 
-// Pending returns the number of scheduled, uncancelled events.
-func (e *Env) Pending() int { return e.events.len() + e.immLen - e.immDead }
-
 // NextEventTime returns the due time of the earliest pending event, and
 // whether one exists. The World engine uses it to size conservative
 // execution windows.

@@ -56,17 +56,6 @@ type World struct {
 	active  []bool         // scratch: shards dispatched this window
 	merge   []int          // scratch: per-shard merge cursors
 	mheap   []mergeEnt     // scratch: k-way merge heap over shard outboxes
-
-	// Speculative execution mode (spec.go).
-	speculative        bool
-	specMax            Time             // adaptive window ceiling
-	curWindow          Time             // current adaptive window Δcur
-	ckpt               []Checkpointable // per-shard rollback support, nil entries = deferred injection
-	saved              []*EnvCheckpoint // per-window shard Env snapshots
-	savedState         []any            // per-window Checkpointable snapshots
-	inj                [][]injection    // per-shard injections recorded during the control window
-	specStats          SpecStats
-	deferredThisWindow int
 }
 
 // wpost is one cross-shard message: either a closure (fn) or a typed
@@ -158,10 +147,6 @@ func (w *World) PostCall(shard int, cb EventFn, ctx any, arg uint64) {
 
 // Run executes events until no shard and the control Env have any left.
 func (w *World) Run() {
-	if w.speculative {
-		w.runSpec(0, false)
-		return
-	}
 	w.flushPosts()
 	for {
 		t, ok := w.nextTime()
@@ -179,10 +164,6 @@ func (w *World) Run() {
 // RunUntil executes all events due at or before limit, then advances every
 // clock to exactly limit.
 func (w *World) RunUntil(limit Time) {
-	if w.speculative {
-		w.runSpec(limit, true)
-		return
-	}
 	w.flushPosts()
 	for {
 		t, ok := w.nextTime()

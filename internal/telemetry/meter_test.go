@@ -93,15 +93,14 @@ func TestHistogramBuckets(t *testing.T) {
 	m.Observe(id, 0, 0)
 	m.Observe(id, 0, 1)
 	m.Observe(id, 0, 1000)
-	q := m.HistQuantile(id, 0.5)
-	if q != 2 { // median is the value 1, bucket 1, upper bound 2^1
-		t.Errorf("median estimate = %v, want 2", q)
+	in := &m.instruments[id-1]
+	for b, want := range map[int]int64{0: 1, 1: 1, 10: 1} {
+		if in.buckets[b] != want {
+			t.Errorf("bucket %d = %d, want %d", b, in.buckets[b], want)
+		}
 	}
-	if q := m.HistQuantile(id, 1.0); q != 1024 {
-		t.Errorf("max estimate = %v, want 1024", q)
-	}
-	if got := m.HistQuantile(0, 0.5); got != 0 {
-		t.Errorf("invalid ID quantile = %v", got)
+	if in.total != 3 {
+		t.Errorf("total = %d, want 3", in.total)
 	}
 }
 

@@ -27,11 +27,10 @@
 // no-op. All emission methods are nil-safe, and none of their non-variadic
 // forms allocate when the receiver is nil (asserted by bench_test.go), so
 // hot paths may call them unconditionally. Variadic ...Arg forms build an
-// argument slice at the call site; guard those with Enabled() (or a nil
-// check on the stored recorder) in hot code. With a nil recorder the
-// simulation is bit-identical to an untraced run: the recorder never
-// schedules events, owns no clock, and is consulted by components only at
-// construction time.
+// argument slice at the call site; guard those with a nil check on the
+// stored recorder in hot code. With a nil recorder the simulation is
+// bit-identical to an untraced run: the recorder never schedules events,
+// owns no clock, and is consulted by components only at construction time.
 package trace
 
 import (
@@ -64,9 +63,6 @@ func Str(k, v string) Arg { return Arg{Key: k, Val: v} }
 
 // Int returns an integer-valued Arg.
 func Int(k string, v int64) Arg { return Arg{Key: k, Val: v} }
-
-// F64 returns a float-valued Arg.
-func F64(k string, v float64) Arg { return Arg{Key: k, Val: v} }
 
 // Bool returns a boolean-valued Arg.
 func Bool(k string, v bool) Arg { return Arg{Key: k, Val: v} }
@@ -149,9 +145,6 @@ func FromEnv(env *sim.Env) *Recorder {
 	r, _ := env.Recorder().(*Recorder)
 	return r
 }
-
-// Enabled reports whether the recorder collects anything.
-func (r *Recorder) Enabled() bool { return r != nil }
 
 // Process registers a timeline process (one GPU, the dispatcher, ...) and
 // returns its handle. Duplicate names are allowed — they get distinct ids.

@@ -103,14 +103,6 @@ type Stats struct {
 	KVPeakBlocks int
 }
 
-// HitRatio returns WarmHits / Pins (1 when nothing was ever pinned).
-func (s Stats) HitRatio() float64 {
-	if s.Pins == 0 {
-		return 1
-	}
-	return float64(s.WarmHits) / float64(s.Pins)
-}
-
 // ErrNoMemory is returned by BeginLoad when the weights cannot be placed
 // even after evicting every unpinned resident model. The caller should
 // retry once an Unpin frees eviction candidates.
@@ -300,15 +292,6 @@ func (m *Manager) Unpin(name string, now sim.Time) {
 	}
 	e.pinned--
 	e.lastUsed = now
-}
-
-// Touch refreshes the model's LRU timestamp without pinning.
-func (m *Manager) Touch(name string, now sim.Time) {
-	e := m.get(name)
-	m.lastNow = now
-	if now > e.lastUsed {
-		e.lastUsed = now
-	}
 }
 
 // BeginLoad starts a cold model's weight load: blocks are allocated (LRU

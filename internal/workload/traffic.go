@@ -206,16 +206,6 @@ func GenerateTraffic(s TrafficSpec) ([]Request, error) {
 	return reqs, nil
 }
 
-// MustGenerateTraffic is GenerateTraffic for known-good specs; it panics on
-// error.
-func MustGenerateTraffic(s TrafficSpec) []Request {
-	reqs, err := GenerateTraffic(s)
-	if err != nil {
-		panic(err)
-	}
-	return reqs
-}
-
 // ParseTrafficSpec decodes and validates a TrafficSpec from JSON — the
 // codec behind `paella-sim -traffic <spec.json>` and the fuzz target. It
 // rejects unknown fields so a typo'd knob fails loudly instead of running

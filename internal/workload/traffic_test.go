@@ -12,6 +12,16 @@ import (
 	"paella/internal/sim"
 )
 
+// genTraffic is GenerateTraffic that fails the test on error.
+func genTraffic(t *testing.T, s TrafficSpec) []Request {
+	t.Helper()
+	reqs, err := GenerateTraffic(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs
+}
+
 func diurnalSpec(seed int64, tenants int) TrafficSpec {
 	return TrafficSpec{
 		Shape:          ShapeDiurnal,
@@ -75,7 +85,7 @@ func TestTrafficGoldenDigests(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := digest(t, MustGenerateTraffic(tc.spec))
+			got := digest(t, genTraffic(t, tc.spec))
 			if got != tc.want {
 				t.Errorf("digest drifted:\n got %s\nwant %s", got, tc.want)
 			}
@@ -91,7 +101,7 @@ func TestTrafficGoldenDigests(t *testing.T) {
 // field-identical trace; any extra or reordered draw diverges immediately.
 func TestTrafficZeroTenantRNGInvariant(t *testing.T) {
 	spec := diurnalSpec(42, 0)
-	got := MustGenerateTraffic(spec)
+	got := genTraffic(t, spec)
 
 	rng := rand.New(rand.NewSource(spec.Seed))
 	var tf float64
@@ -132,8 +142,8 @@ func TestTrafficZeroTenantRNGInvariant(t *testing.T) {
 
 // TestTrafficRepeatable: same spec, same bytes — twice.
 func TestTrafficRepeatable(t *testing.T) {
-	a := digest(t, MustGenerateTraffic(spikeSpec(5)))
-	b := digest(t, MustGenerateTraffic(spikeSpec(5)))
+	a := digest(t, genTraffic(t, spikeSpec(5)))
+	b := digest(t, genTraffic(t, spikeSpec(5)))
 	if a != b {
 		t.Fatalf("same spec produced different traces: %s vs %s", a, b)
 	}
@@ -142,7 +152,7 @@ func TestTrafficRepeatable(t *testing.T) {
 // TestTrafficDiurnalModulation checks the envelope actually modulates:
 // the peak half-period must carry well more traffic than the trough.
 func TestTrafficDiurnalModulation(t *testing.T) {
-	reqs := MustGenerateTraffic(diurnalSpec(9, 0))
+	reqs := genTraffic(t, diurnalSpec(9, 0))
 	var trough, peak int
 	for _, r := range reqs {
 		// Trough is centred at t=0 and t=Period; peak at Period/2.
@@ -162,7 +172,7 @@ func TestTrafficDiurnalModulation(t *testing.T) {
 // rate must be several times the surrounding rate.
 func TestTrafficSpikeModulation(t *testing.T) {
 	s := spikeSpec(11)
-	reqs := MustGenerateTraffic(s)
+	reqs := genTraffic(t, s)
 	var in, out int
 	for _, r := range reqs {
 		if r.At >= s.SpikeAt && r.At < s.SpikeAt+s.SpikeDuration {
@@ -181,7 +191,7 @@ func TestTrafficSpikeModulation(t *testing.T) {
 // TestNDJSONRoundTrip writes and re-reads a trace, expecting exact
 // equality and byte-stable re-serialization.
 func TestNDJSONRoundTrip(t *testing.T) {
-	reqs := MustGenerateTraffic(diurnalSpec(3, 4))
+	reqs := genTraffic(t, diurnalSpec(3, 4))
 	var buf bytes.Buffer
 	if err := WriteNDJSON(&buf, reqs); err != nil {
 		t.Fatal(err)
@@ -296,6 +306,6 @@ func TestPrintTrafficDigests(t *testing.T) {
 			BaseRatePerSec: 2000, Jobs: 4000, Clients: 100, Seed: 3,
 		}},
 	} {
-		t.Log(fmt.Sprintf("%s: %s", c.name, digest(t, MustGenerateTraffic(c.spec))))
+		t.Log(fmt.Sprintf("%s: %s", c.name, digest(t, genTraffic(t, c.spec))))
 	}
 }
