@@ -71,6 +71,13 @@ func (q *eventQueue) len() int { return q.size }
 // when len() > 0; the front of the minimum bucket is always live.
 func (q *eventQueue) minKey() (Time, uint64) { return q.h[0].at, q.h[0].seq }
 
+// peek returns the earliest pending record's arena index without removing
+// it. Only valid when len() > 0.
+func (q *eventQueue) peek() int32 {
+	b := &q.buckets[q.h[0].bi]
+	return b.tms[b.first]
+}
+
 // push inserts record i with key (at, seq). Caller contract (upheld by
 // Env): seq is strictly greater than every seq previously pushed, and the
 // record is live.

@@ -270,7 +270,7 @@ func TestArenaRecycles(t *testing.T) {
 
 // TestDoSchedulingAllocFree: in steady state the schedule+fire cycle
 // performs no per-event allocations (the closure passed in is the caller's
-// concern; here it is preallocated, as on the Proc wakeup path).
+// concern; here it is preallocated).
 func TestDoSchedulingAllocFree(t *testing.T) {
 	e := NewEnv()
 	fn := func() {}
@@ -308,8 +308,9 @@ func TestDoCallAllocFree(t *testing.T) {
 	}
 }
 
-// TestProcSleepAllocFree: a process sleep cycle reuses the preallocated
-// dispatch closure and an arena record — zero allocations per wakeup.
+// TestProcSleepAllocFree: a process sleep cycle schedules a typed wakeup
+// in a recycled arena record and hands off through the process's channels
+// — zero allocations per wakeup.
 func TestProcSleepAllocFree(t *testing.T) {
 	e := NewEnv()
 	stop := false

@@ -6,7 +6,7 @@ package sim
 type Mutex struct {
 	env     *Env
 	held    bool
-	waiters []func()
+	waiters []waiter
 	// first is the dequeue cursor; popping moves it instead of reslicing so
 	// the waiter array's capacity is retained (no per-handoff allocation).
 	first int
@@ -21,7 +21,7 @@ func (m *Mutex) Lock(p *Proc) {
 		m.held = true
 		return
 	}
-	m.waiters = append(m.waiters, p.dispatchFn)
+	m.waiters = append(m.waiters, waiter{p: p})
 	p.park()
 }
 
@@ -37,11 +37,11 @@ func (m *Mutex) Unlock() {
 		return
 	}
 	next := m.waiters[m.first]
-	m.waiters[m.first] = nil
+	m.waiters[m.first] = waiter{}
 	m.first++
 	if m.first == len(m.waiters) {
 		m.waiters, m.first = m.waiters[:0], 0
 	}
 	// Ownership transfers directly; the waiter resumes as a fresh event.
-	m.env.DoAfter(0, next)
+	next.wake(m.env)
 }

@@ -17,6 +17,14 @@
 //     and CUDA-style adaptor code use processes, mirroring the stackful
 //     Boost coroutines used by the paper's dispatcher (§4.2).
 //
+// Events do not always execute on the goroutine that called Run or
+// RunUntil. A process that parks keeps executing the loop itself — plain
+// callbacks and its own wakeup — and hands control back only when another
+// process must run, the run's horizon is reached, or the queue empties. The
+// event order is exactly the one a single loop goroutine would produce; only
+// the number of goroutine switches changes. A bare Step has no horizon, so
+// it still executes exactly one event.
+//
 // Event storage is a flat struct-of-arrays arena (see arena.go): records
 // are addressed by index, recycled through an index-linked free list, and
 // guarded by generation counters, so the steady-state event loop performs
@@ -30,6 +38,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 )
 
 // Time is a point on (or a span of) the virtual timeline, in nanoseconds.
@@ -123,8 +132,15 @@ type Env struct {
 	nextMut uint64
 	nextAt  Time
 	nextOK  bool
-	// procPanic carries a panic out of a process goroutine so that it
-	// surfaces on the main (test) goroutine instead of being lost.
+	// horizon is the latest due time the running Run/RunUntil executes; a
+	// parked process runs due events inline only up to it. It is -1
+	// outside those loops, so a bare Step executes exactly one event.
+	horizon Time
+	// handoffs counts goroutine round trips into a process (dispatches).
+	handoffs uint64
+	// procPanic carries a panic out of a process goroutine — the process's
+	// own, or a callback's that ran inline on it — so that it surfaces on
+	// the goroutine running the loop instead of being lost.
 	procPanic any
 	hasPanic  bool
 	// recorder is an optional tracing recorder attached to the run. It is
@@ -156,7 +172,7 @@ func (e *Env) Meter() any { return e.meter }
 
 // NewEnv returns an environment with the clock at zero and no pending events.
 func NewEnv() *Env {
-	e := &Env{mut: 1}
+	e := &Env{mut: 1, horizon: -1}
 	e.arena.freeHead = -1
 	e.events.a = &e.arena
 	e.events.lastB = -1
@@ -333,37 +349,45 @@ func (e *Env) Cancel(t Timer) {
 	}
 }
 
-// Step executes the single earliest pending event, advancing the clock to
-// its due time. It returns false if no events are pending.
-func (e *Env) Step() bool {
-	var i int32
-	if f := e.immFront(); f >= 0 {
-		// The FIFO front is due now; it loses only to a queued event at the
-		// same timestamp scheduled earlier (smaller seq).
-		fromQueue := false
-		if e.events.len() > 0 {
-			fr := &e.arena.recs[f]
-			if at, seq := e.events.minKey(); at == fr.at && seq < fr.seq {
-				fromQueue = true
-			}
+// next returns the arena index of the earliest pending event without
+// removing it, or -1 when none is pending. The FIFO front is due now; it
+// loses only to a queued event at the same timestamp scheduled earlier
+// (smaller seq).
+func (e *Env) next() int32 {
+	f := e.immFront()
+	if e.events.len() == 0 {
+		return f
+	}
+	if f >= 0 {
+		fr := &e.arena.recs[f]
+		if at, seq := e.events.minKey(); !(at == fr.at && seq < fr.seq) {
+			return f
 		}
-		if fromQueue {
-			i = e.events.pop()
-		} else {
-			i = e.popImm()
-		}
+	}
+	return e.events.peek()
+}
+
+// take dequeues event i, which next has just returned, advances the clock
+// to its due time and recycles its record, returning the callback words.
+func (e *Env) take(i int32) (fn func(), cb EventFn, ctx any, arg uint64) {
+	if e.arena.recs[i].bkt == bktImm {
+		e.popImm()
 	} else {
-		if e.events.len() == 0 {
-			return false
-		}
-		i = e.events.pop()
+		e.events.pop()
 	}
 	r := &e.arena.recs[i]
 	e.now = r.at
 	e.steps++
 	e.mut++
-	fn, cb, ctx, arg := r.fn, r.cb, r.ctx, r.arg
+	fn, cb, ctx, arg = r.fn, r.cb, r.ctx, r.arg
 	e.arena.free(i)
+	return fn, cb, ctx, arg
+}
+
+// exec takes event i and executes it on the calling goroutine, re-raising
+// a panic that a process goroutine handed back.
+func (e *Env) exec(i int32) {
+	fn, cb, ctx, arg := e.take(i)
 	if cb != nil {
 		cb(ctx, arg)
 	} else {
@@ -374,11 +398,26 @@ func (e *Env) Step() bool {
 		e.procPanic, e.hasPanic = nil, false
 		panic(p)
 	}
+}
+
+// Step executes the single earliest pending event, advancing the clock to
+// its due time. It returns false if no events are pending.
+func (e *Env) Step() bool {
+	i := e.next()
+	if i < 0 {
+		return false
+	}
+	e.exec(i)
 	return true
 }
 
+// endRun closes the horizon of a finished (or panicking) Run/RunUntil.
+func (e *Env) endRun() { e.horizon = -1 }
+
 // Run executes events until none remain.
 func (e *Env) Run() {
+	e.horizon = math.MaxInt64
+	defer e.endRun()
 	for e.Step() {
 	}
 }
@@ -386,12 +425,14 @@ func (e *Env) Run() {
 // RunUntil executes all events due at or before t, then advances the clock
 // to exactly t (even if the last event fired earlier).
 func (e *Env) RunUntil(t Time) {
+	e.horizon = t
+	defer e.endRun()
 	for {
-		at, ok := e.NextEventTime()
-		if !ok || at > t {
+		i := e.next()
+		if i < 0 || e.arena.recs[i].at > t {
 			break
 		}
-		e.Step()
+		e.exec(i)
 	}
 	if t > e.now {
 		e.now = t

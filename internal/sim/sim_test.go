@@ -196,15 +196,18 @@ func TestProcDone(t *testing.T) {
 	}
 }
 
+// TestProcPanicPropagates: a process's own panic reaches Run wrapped with
+// the process name.
 func TestProcPanicPropagates(t *testing.T) {
 	e := NewEnv()
 	e.Spawn("boom", func(p *Proc) {
 		p.Sleep(1)
 		panic("kaboom")
 	})
+	want := `sim: process "boom" panicked: kaboom`
 	defer func() {
-		if recover() == nil {
-			t.Error("process panic did not propagate to Run")
+		if got := recover(); got != want {
+			t.Errorf("Run panicked with %#v, want %q", got, want)
 		}
 	}()
 	e.Run()
