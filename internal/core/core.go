@@ -649,10 +649,7 @@ func (d *Dispatcher) ColdLoadDuration(bytes int64) sim.Time {
 // memory. Always true when memory is unconstrained, and for models the
 // residency manager does not track (adaptor jobs).
 func (d *Dispatcher) ModelResident(name string) bool {
-	if d.vramMgr == nil || !d.vramMgr.Registered(name) {
-		return true
-	}
-	return d.vramMgr.Resident(name)
+	return d.vramMgr == nil || d.vramMgr.Usable(name)
 }
 
 // tolerant reports whether the dispatcher runs with relaxed fail-stop

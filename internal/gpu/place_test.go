@@ -72,6 +72,22 @@ func randomFittingSpec(rng *rand.Rand, r SMResources) *KernelSpec {
 	}
 }
 
+// setBackground gives every SM of d random occupancy that never drains and
+// rebuilds the device's aggregates and candidate index from it, so that
+// the oracle exercises the index as the device maintains it.
+func setBackground(d *Device, rng *rand.Rand) {
+	r := d.cfg.SM
+	for i := range d.sms {
+		d.sms[i] = smState{
+			blocks:  rng.Intn(r.MaxBlocks + 1),
+			threads: rng.Intn(r.MaxThreads + 1),
+			regs:    rng.Intn(r.MaxRegisters + 1),
+			shmem:   rng.Intn(r.MaxSharedMem + 1),
+		}
+	}
+	d.reindex()
+}
+
 // placeOracleTrial drives one random device through placements, wave
 // completions, SM retirements and restorations and cursor jumps, checking
 // every placeBlocks call against refPlace on a snapshot of the SMs. It
@@ -84,20 +100,18 @@ func placeOracleTrial(t *testing.T, rng *rand.Rand) (skips int) {
 		MaxRegisters: 16384 * (1 + rng.Intn(4)),
 		MaxSharedMem: 1024 * rng.Intn(65),
 	}
-	cfg := Config{Name: "oracle", Microarch: Kepler, NumSMs: 1 + rng.Intn(12), SM: r, NumHWQueues: 1}
+	// Up to 130 SMs, so the candidate bitsets span three words.
+	nsm := 1 + rng.Intn(12)
+	if rng.Intn(3) == 0 {
+		nsm = 1 + rng.Intn(130)
+	}
+	cfg := Config{Name: "oracle", Microarch: Kepler, NumSMs: nsm, SM: r, NumHWQueues: 1}
 	env := sim.NewEnv()
 	d := NewDevice(env, cfg, nil)
 	tr := NewTrace()
 	d.SetTrace(tr)
-	// Random background occupancy that never drains.
+	setBackground(d, rng)
 	for i := range d.sms {
-		sm := &d.sms[i]
-		sm.blocks = rng.Intn(r.MaxBlocks + 1)
-		sm.threads = rng.Intn(r.MaxThreads + 1)
-		sm.regs = rng.Intn(r.MaxRegisters + 1)
-		sm.shmem = rng.Intn(r.MaxSharedMem + 1)
-		d.freeBlocks -= sm.blocks
-		d.freeThreads -= sm.threads
 		if rng.Intn(6) == 0 {
 			d.RetireSM(i)
 		}
@@ -150,6 +164,7 @@ func placeOracleTrial(t *testing.T, rng *rand.Rand) (skips int) {
 			}
 		case x < 7:
 			env.Step()
+			d.CheckInvariants()
 		case x < 8:
 			d.RetireSM(rng.Intn(cfg.NumSMs))
 		case x < 9:
@@ -237,13 +252,33 @@ func TestWavePathAllocFree(t *testing.T) {
 }
 
 // BenchmarkPlaceBlocks times one placement wave onto an idle T4 plus the
-// wave's completion event ("wave"), and the known-full skip on a device
-// whose SMs the launch has already filled ("full").
+// wave's completion event ("wave"), the same for a small launch on a T4
+// where only one SM in four has a free block slot ("saturated"), and the
+// known-full skip on a device whose SMs the launch has already filled
+// ("full").
 func BenchmarkPlaceBlocks(b *testing.B) {
 	b.Run("wave", func(b *testing.B) {
 		env, d := waveBenchDevice(sim.Microsecond)
 		spec := waveBenchSpec
 		spec.Blocks = 40 * 4
+		var l Launch
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			l = Launch{Spec: &spec, dev: d, toPlace: spec.Blocks, toFinish: spec.Blocks}
+			d.placeBlocks(&l)
+			env.Run()
+		}
+	})
+	b.Run("saturated", func(b *testing.B) {
+		env, d := waveBenchDevice(sim.Microsecond)
+		for i := range d.sms {
+			if i%4 != 0 {
+				d.sms[i].blocks, d.sms[i].threads = d.cfg.SM.MaxBlocks, d.cfg.SM.MaxThreads
+			}
+		}
+		d.reindex()
+		spec := waveBenchSpec
+		spec.Blocks = 8
 		var l Launch
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

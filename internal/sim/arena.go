@@ -33,8 +33,8 @@ package sim
 type EventFn func(ctx any, arg uint64)
 
 // timerRec is one arena slot. at/seq order execution; exactly one of fn or
-// cb is set; bkt/slot locate a queued record (bkt ≥ 0: bucket index in the
-// event queue, bktImm: immediate FIFO, bktNone: not queued).
+// cb is set; slot locates a queued record (≥ 0: its index in the event
+// heap, slotImm: immediate FIFO, slotNone: not queued).
 type timerRec struct {
 	at   Time
 	seq  uint64
@@ -43,14 +43,13 @@ type timerRec struct {
 	ctx  any
 	arg  uint64
 	gen  uint32
-	bkt  int32
 	slot int32
 	link int32 // next free record while on the free list
 }
 
 const (
-	bktNone int32 = -1 // not queued (free or mid-fire)
-	bktImm  int32 = -2 // parked in the immediate FIFO
+	slotNone int32 = -1 // not queued (free or mid-fire)
+	slotImm  int32 = -2 // parked in the immediate FIFO
 )
 
 // arena is the flat record store plus its index-linked free list.
@@ -60,7 +59,7 @@ type arena struct {
 	nfree    int
 }
 
-// alloc returns a live record index with fn/cb/ctx cleared, bkt = bktNone,
+// alloc returns a live record index with fn/cb/ctx cleared, slot = slotNone,
 // and an even generation strictly greater than any stale handle's.
 func (a *arena) alloc() int32 {
 	if a.freeHead >= 0 {
@@ -74,7 +73,7 @@ func (a *arena) alloc() int32 {
 		}
 		return i
 	}
-	a.recs = append(a.recs, timerRec{bkt: bktNone, link: -1})
+	a.recs = append(a.recs, timerRec{slot: slotNone, link: -1})
 	return int32(len(a.recs) - 1)
 }
 
@@ -88,7 +87,7 @@ func (a *arena) free(i int32) {
 }
 
 // freeCancelled recycles a record that was cancelled while queued in the
-// bucket heap: generation += 1 flips it odd so surviving handles report
+// event heap: generation += 1 flips it odd so surviving handles report
 // Stopped.
 func (a *arena) freeCancelled(i int32) {
 	r := &a.recs[i]
@@ -109,8 +108,7 @@ func (a *arena) push(i int32) {
 	r.fn = nil
 	r.cb = nil
 	r.ctx = nil
-	r.bkt = bktNone
-	r.slot = 0
+	r.slot = slotNone
 	r.link = a.freeHead
 	a.freeHead = i
 	a.nfree++

@@ -18,7 +18,6 @@ func newQrig() *qrig {
 	r := &qrig{}
 	r.a.freeHead = -1
 	r.q.a = &r.a
-	r.q.lastB = -1
 	return r
 }
 
@@ -39,8 +38,8 @@ func (r *qrig) push(at Time, seq uint64) qitem {
 }
 
 // queuePushPattern drives an eventQueue the way an Env does — strictly
-// increasing seq, with bursts of repeated timestamps to exercise the
-// open-run append path as well as fresh buckets.
+// increasing seq, with bursts of repeated timestamps so that the seq
+// tiebreak decides many comparisons.
 func queuePushPattern(rng *rand.Rand, r *qrig, seq *uint64, n int) []qitem {
 	var out []qitem
 	at := Time(rng.Intn(50))
@@ -54,7 +53,7 @@ func queuePushPattern(rng *rand.Rand, r *qrig, seq *uint64, n int) []qitem {
 	return out
 }
 
-// TestQueuePopOrderMatchesSort: the bucketed queue pops timers in exact
+// TestQueuePopOrderMatchesSort: the event heap pops timers in exact
 // (at, seq) order for randomized inputs — the total order every simulation
 // outcome rests on.
 func TestQueuePopOrderMatchesSort(t *testing.T) {
@@ -76,8 +75,8 @@ func TestQueuePopOrderMatchesSort(t *testing.T) {
 				t.Fatalf("trial %d: pop %d = (at=%d seq=%d), want (at=%d seq=%d)",
 					trial, i, rec.at, rec.seq, want.at, want.seq)
 			}
-			if r.a.recs[got].bkt != bktNone {
-				t.Fatalf("popped record retains queue linkage (bkt=%d)", r.a.recs[got].bkt)
+			if r.a.recs[got].slot != slotNone {
+				t.Fatalf("popped record retains queue linkage (slot=%d)", r.a.recs[got].slot)
 			}
 		}
 		if r.q.len() != 0 {
@@ -86,11 +85,11 @@ func TestQueuePopOrderMatchesSort(t *testing.T) {
 	}
 }
 
-// TestQueueAgainstModel cross-checks the bucketed queue against a sorted
-// reference under a randomized push/pop/cancel workload — including
-// cancels of bucket fronts (eager) and mid-bucket records (lazy
-// tombstones). Cancelled records are recycled immediately, so the workload
-// also exercises arena index reuse under live traffic.
+// TestQueueAgainstModel cross-checks the event heap against a sorted
+// reference under a randomized push/pop/cancel workload — cancels hit the
+// root, leaves and interior slots alike. Cancelled records are recycled
+// immediately, so the workload also exercises arena index reuse under live
+// traffic.
 func TestQueueAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := newQrig()
@@ -150,58 +149,37 @@ func TestQueueAgainstModel(t *testing.T) {
 	}
 }
 
-// TestQueueInvariants: after every operation, each heap slot's inline key
-// matches its bucket's live front, bucket back-links name their slots,
-// bucket seqs are strictly increasing, and the size counter equals the
-// number of live resident records — the invariants Cancel and Step rest on.
+// TestQueueInvariants: after every operation, no entry sorts before its
+// parent (the 4-ary heap property), every entry's key matches its record,
+// and every queued record's slot points back to its own entry — the
+// invariants Cancel and Step rest on.
 func TestQueueInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := newQrig()
 	seq := uint64(0)
 	var live []qitem
 	check := func(op int) {
-		total := 0
-		for i, ent := range r.q.h {
-			b := &r.q.buckets[ent.bi]
-			if b.hidx != int32(i) {
-				t.Fatalf("op %d: slot %d holds bucket with hidx %d", op, i, b.hidx)
+		for i := range r.q.h {
+			ent := &r.q.h[i]
+			if i > 0 && ent.before(&r.q.h[(i-1)>>2]) {
+				t.Fatalf("op %d: slot %d (%d,%d) sorts before its parent", op, i, ent.at, ent.seq)
 			}
-			if int(b.first) >= len(b.tms) {
-				t.Fatalf("op %d: slot %d holds drained bucket", op, i)
+			rec := &r.a.recs[ent.idx]
+			if rec.at != ent.at || rec.seq != ent.seq {
+				t.Fatalf("op %d: slot %d key (%d,%d) diverges from its record (%d,%d)",
+					op, i, ent.at, ent.seq, rec.at, rec.seq)
 			}
-			front := b.tms[b.first]
-			if front < 0 {
-				t.Fatalf("op %d: slot %d front is a tombstone", op, i)
-			}
-			fr := &r.a.recs[front]
-			if ent.at != b.at || ent.at != fr.at || ent.seq != fr.seq {
-				t.Fatalf("op %d: slot %d key (%d,%d) diverges from front (%d,%d)",
-					op, i, ent.at, ent.seq, fr.at, fr.seq)
-			}
-			prev := uint64(0)
-			seenLive := false
-			for j := int(b.first); j < len(b.tms); j++ {
-				ti := b.tms[j]
-				if ti < 0 {
-					continue // cancelled: tombstone
-				}
-				rec := &r.a.recs[ti]
-				if rec.at != b.at {
-					t.Fatalf("op %d: bucket at=%d holds record at=%d", op, b.at, rec.at)
-				}
-				if seenLive && rec.seq <= prev {
-					t.Fatalf("op %d: bucket seqs not increasing", op)
-				}
-				prev, seenLive = rec.seq, true
-				total++
-				if rec.bkt != ent.bi || rec.slot != int32(j) {
-					t.Fatalf("op %d: record linkage wrong (bkt=%d want %d, slot=%d want %d)",
-						op, rec.bkt, ent.bi, rec.slot, j)
-				}
+			if rec.slot != int32(i) {
+				t.Fatalf("op %d: record in slot %d has slot %d", op, i, rec.slot)
 			}
 		}
-		if total != r.q.size {
-			t.Fatalf("op %d: size %d, counted %d live", op, r.q.size, total)
+		if len(r.q.h) != len(live) {
+			t.Fatalf("op %d: heap holds %d entries, model %d", op, len(r.q.h), len(live))
+		}
+		for _, x := range live {
+			if s := r.a.recs[x.idx].slot; s < 0 || int(s) >= len(r.q.h) || r.q.h[s].idx != x.idx {
+				t.Fatalf("op %d: live record %d has slot %d", op, x.idx, s)
+			}
 		}
 	}
 	for op := 0; op < 2000; op++ {

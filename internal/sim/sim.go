@@ -175,7 +175,6 @@ func NewEnv() *Env {
 	e := &Env{mut: 1, horizon: -1}
 	e.arena.freeHead = -1
 	e.events.a = &e.arena
-	e.events.lastB = -1
 	return e
 }
 
@@ -228,7 +227,7 @@ func (e *Env) pushImm(i int32) {
 	if e.immLen == len(e.imm) {
 		e.growImm()
 	}
-	e.arena.recs[i].bkt = bktImm
+	e.arena.recs[i].slot = slotImm
 	e.imm[(e.immFirst+e.immLen)&(len(e.imm)-1)] = i
 	e.immLen++
 }
@@ -238,7 +237,7 @@ func (e *Env) popImm() int32 {
 	i := e.imm[e.immFirst]
 	e.immFirst = (e.immFirst + 1) & (len(e.imm) - 1)
 	e.immLen--
-	e.arena.recs[i].bkt = bktNone
+	e.arena.recs[i].slot = slotNone
 	return i
 }
 
@@ -332,14 +331,14 @@ func (e *Env) Cancel(t Timer) {
 	if r.gen != t.gen {
 		return // fired, cancelled, or recycled since the handle was issued
 	}
-	switch r.bkt {
-	case bktImm:
+	switch r.slot {
+	case slotImm:
 		// Parked in the immediate FIFO: flip odd (stopped), removed lazily
 		// when it reaches the front.
 		env.arena.cancelMark(t.idx)
 		env.immDead++
 		env.mut++
-	case bktNone:
+	case slotNone:
 		// Live but unqueued can only be the record currently firing; the
 		// parity check above already rejected everything else.
 	default:
@@ -370,7 +369,7 @@ func (e *Env) next() int32 {
 // take dequeues event i, which next has just returned, advances the clock
 // to its due time and recycles its record, returning the callback words.
 func (e *Env) take(i int32) (fn func(), cb EventFn, ctx any, arg uint64) {
-	if e.arena.recs[i].bkt == bktImm {
+	if e.arena.recs[i].slot == slotImm {
 		e.popImm()
 	} else {
 		e.events.pop()

@@ -263,6 +263,14 @@ func (m *Manager) State(name string) State { return m.get(name).state }
 // Resident reports whether the model's weights are usable right now.
 func (m *Manager) Resident(name string) bool { return m.get(name).state == Resident }
 
+// Usable is Resident for registered models and true for models the
+// manager does not track, in one map lookup: the dispatcher's residency
+// gate asks it on every fit probe.
+func (m *Manager) Usable(name string) bool {
+	e, ok := m.entries[name]
+	return !ok || e.state == Resident
+}
+
 // Pinned returns the model's pin count.
 func (m *Manager) Pinned(name string) int { return m.get(name).pinned }
 

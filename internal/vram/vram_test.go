@@ -45,6 +45,34 @@ func TestRegisterAndStates(t *testing.T) {
 	m.CheckInvariants()
 }
 
+// TestUsable: Usable agrees with Resident through a model's load cycle and
+// is true for a model the manager does not track.
+func TestUsable(t *testing.T) {
+	m := mkManager(t, 64)
+	if !m.Usable("untracked") {
+		t.Fatal("untracked model not usable")
+	}
+	if err := m.Register("a", 10*MiB); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if m.Usable("a") != m.Resident("a") {
+			t.Fatalf("%s: Usable %v, Resident %v", when, m.Usable("a"), m.Resident("a"))
+		}
+	}
+	check("cold")
+	if err := m.BeginLoad("a", 0); err != nil {
+		t.Fatal(err)
+	}
+	check("loading")
+	m.FinishLoad("a", 5)
+	check("resident")
+	if !m.Usable("a") {
+		t.Fatal("loaded model not usable")
+	}
+}
+
 func TestZeroWeightModelAlwaysResident(t *testing.T) {
 	m := mkManager(t, 4)
 	if err := m.Register("tiny", 0); err != nil {
